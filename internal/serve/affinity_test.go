@@ -412,7 +412,7 @@ func TestFailAllCountsFailures(t *testing.T) {
 		}
 		tks[i] = tk
 	}
-	s.failAll(nil, nil, nil, boom)
+	s.failAll(nil, nil, boom)
 	// Let the loop run once so it observes the stop and closes done —
 	// otherwise the cleanup Stop would wait out its whole timeout.
 	s.Start()

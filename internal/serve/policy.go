@@ -31,33 +31,29 @@ type Running struct {
 	Deadline  float64
 }
 
-// Policy decides admission order for the scheduler loop. The loop
-// calls Next once per admission slot with every request that has
-// already arrived on the virtual clock (eligible, in submission
-// order); the chosen request is admitted if its conservative KV
+// Policy decides admission order for the scheduler loop and picks
+// preemption victims. The set is closed: the server accepts only the
+// built-ins PolicyByName returns (FIFOPolicy, PriorityPolicy,
+// SLOPolicy), and New rejects any other implementation with an error
+// naming its type.
+//
+// The server runs each built-in's ordering on the incremental
+// bitmap-scoreboard core (scoreboard.go, docs/scheduling.md), whose
+// per-slot decisions are O(1) in queue depth; it never calls Next or
+// Victim. Those slice methods are the reference semantics the core
+// reproduces exactly, checked by the linear-scan differential tests.
+// Next sees every request that has arrived on the virtual clock (in
+// queue order); the chosen request is admitted if its conservative KV
 // reservation fits. When it does not fit, Victim may name an in-flight
 // sequence to preempt and requeue — the engine.Stepper returns every
 // block the victim held, so the urgent admission proceeds; the victim
 // restarts from scratch later.
-//
-// Implementations are called only from the scheduler goroutine and
-// need no internal locking, but must be usable by value across
-// replicas (no per-server state).
-//
-// The built-in policies are never actually scanned per slot: the
-// server recognises them and runs their exact ordering on an
-// incremental bitmap-scoreboard core (scoreboard.go, docs/
-// scheduling.md) whose per-slot decisions are O(1) in queue depth.
-// Custom implementations keep this slice-based contract and the
-// legacy linear admission path, at linear per-slot cost.
 type Policy interface {
 	// Name identifies the policy ("fifo", "priority", "slo") in flags,
 	// stats and logs.
 	Name() string
 	// Next returns the index into eligible (non-empty) of the request
-	// to admit next, or a negative value to admit none this iteration.
-	// A negative return while the system is idle is overridden to 0 by
-	// the loop: an empty system must always make progress.
+	// to admit next.
 	Next(now float64, eligible []Pending) int
 	// Victim returns the index into running of the sequence to preempt
 	// so blocked can be admitted, or a negative value to wait for

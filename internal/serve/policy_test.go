@@ -31,7 +31,12 @@ func mixedTrace(n int) []Request {
 // returns per-request results in submission order.
 func replay(t *testing.T, cfg Config, reqs []Request) []Result {
 	t.Helper()
-	s := newServer(t, cfg)
+	return replayOn(t, newServer(t, cfg), reqs)
+}
+
+// replayOn is replay on an already built, not yet started server.
+func replayOn(t *testing.T, s *Server, reqs []Request) []Result {
+	t.Helper()
 	tickets := make([]*Ticket, len(reqs))
 	for i, r := range reqs {
 		tk, err := s.Submit(r)

@@ -293,7 +293,6 @@ func aggregateStats(replicas []Stats) Stats {
 		agg.Completed += st.Completed
 		agg.Failed += st.Failed
 		agg.Preempted += st.Preempted
-		agg.PolicyFaults += st.PolicyFaults
 		agg.Queued += st.Queued
 		agg.Active += st.Active
 		agg.FreeKVBlocks += st.FreeKVBlocks

@@ -35,6 +35,7 @@ package serve
 // allocs/op in CI.
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -330,32 +331,27 @@ type schedCore struct {
 	running   *scoreboard
 }
 
-// newSchedCore returns the incremental core for a built-in policy, or
-// nil for a custom Policy implementation — those keep the legacy
-// linear-scan admission path, which tolerates (and surfaces)
-// out-of-contract behaviour.
-func newSchedCore(p Policy) *schedCore {
+// newSchedCore returns the incremental core for a built-in policy. The
+// policy set is closed: any other Policy type is an error naming it.
+func newSchedCore(p Policy) (*schedCore, error) {
 	switch p := p.(type) {
 	case FIFOPolicy:
-		return &schedCore{kind: kindFIFO, elig: newScoreboard()}
+		return &schedCore{kind: kindFIFO, elig: newScoreboard()}, nil
 	case PriorityPolicy:
 		aging := p.AgingSeconds
 		if aging <= 0 {
 			aging = DefaultAgingSeconds
 		}
-		return &schedCore{kind: kindPriority, aging: aging, elig: newScoreboard(), eligBatch: newScoreboard()}
+		return &schedCore{kind: kindPriority, aging: aging, elig: newScoreboard(), eligBatch: newScoreboard()}, nil
 	case SLOPolicy:
-		return &schedCore{kind: kindSLO, elig: newScoreboard(), running: newScoreboard()}
+		return &schedCore{kind: kindSLO, elig: newScoreboard(), running: newScoreboard()}, nil
 	default:
-		return nil
+		return nil, fmt.Errorf("serve: policy type %T is not a built-in policy; use PolicyByName (%v)", p, PolicyNames())
 	}
 }
 
 // len counts every queued (future + eligible) request.
 func (sc *schedCore) len() int {
-	if sc == nil {
-		return 0
-	}
 	n := len(sc.future) + sc.elig.len()
 	if sc.eligBatch != nil {
 		n += sc.eligBatch.len()
@@ -365,8 +361,8 @@ func (sc *schedCore) len() int {
 
 // add queues a stamped call. Requests in the clock's past are promoted
 // to the eligible scoreboards by the next promote call, in (arrival,
-// id) order — the same order the linear path's eligibility filter and
-// fixed tie-breaks produce.
+// id) order — the same order the linear reference's eligibility filter
+// and fixed tie-breaks produce.
 func (sc *schedCore) add(c *call) {
 	sc.future = append(sc.future, futureEnt{arrival: c.req.ArrivalSeconds, id: c.req.ID, c: c})
 	// Sift up.
@@ -526,7 +522,7 @@ func (sc *schedCore) victim(blockedDeadline float64) (int, bool) {
 }
 
 // drainAll hands every queued call to f and empties the core — the
-// failAll path.
+// failAll and die paths.
 func (sc *schedCore) drainAll(f func(*call)) {
 	for _, e := range sc.future {
 		f(e.c)

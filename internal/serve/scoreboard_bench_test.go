@@ -7,7 +7,7 @@ import "testing"
 // the most scoreboard machinery in play (two-key eligible ordering plus
 // the running victim scoreboard).
 func deepCore(depth int) (*schedCore, float64) {
-	sc := newSchedCore(SLOPolicy{})
+	sc, _ := newSchedCore(SLOPolicy{})
 	const now = 1 << 20 // past every arrival below
 	for i := 0; i < depth; i++ {
 		arrival := float64(i%31) * 0.125
@@ -57,7 +57,7 @@ func BenchmarkAdmissionDeepQueue(b *testing.B) {
 // 0 allocs/op, depth-independent.
 func BenchmarkVictimSelection(b *testing.B) {
 	const depth = 10000
-	sc := newSchedCore(SLOPolicy{})
+	sc, _ := newSchedCore(SLOPolicy{})
 	byID := make(map[int]*call, depth)
 	for i := 0; i < depth; i++ {
 		c := fuzzCall(i+1, 0, ClassInteractive, float64(i%89)*0.5+1)

@@ -4,16 +4,98 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"zipserv/internal/engine"
 )
 
-// linearOnly hides a built-in policy's concrete type from the server's
-// scoreboard detection (newSchedCore type-switch), forcing the legacy
-// linear-scan admission path with unchanged policy semantics — the
-// reference side of every differential test in this file.
-type linearOnly struct{ Policy }
+// linearQueue is the reference admission queue: the slice scan the
+// Policy interface's Next/Victim contract describes, rebuilding the
+// eligible and running views on every call. It implements the same
+// admissionQueue operations as the scoreboard core, so the fuzz target
+// drives both through identical calls and the whole-server
+// differentials install it in place of the core (Server.q); the
+// built-in policies must schedule identically on both.
+type linearQueue struct {
+	p       Policy
+	now     float64
+	pending []*call // queue order; preemption requeues at the back
+	running map[int]*call
+}
+
+func newLinearQueue(p Policy) *linearQueue {
+	return &linearQueue{p: p, running: map[int]*call{}}
+}
+
+func (q *linearQueue) add(c *call)          { q.pending = append(q.pending, c) }
+func (q *linearQueue) len() int             { return len(q.pending) }
+func (q *linearQueue) promote(now float64)  { q.now = now }
+func (q *linearQueue) runningAdd(c *call)   { q.running[c.req.ID] = c }
+func (q *linearQueue) runningRemove(id int) { delete(q.running, id) }
+
+// peek offers the arrived requests, in queue order, to Policy.Next.
+func (q *linearQueue) peek() (*call, bool) {
+	var views []Pending
+	var idxs []int
+	for i, c := range q.pending {
+		if c.req.ArrivalSeconds <= q.now {
+			views = append(views, Pending{
+				ID: c.req.ID, PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
+				Arrival: c.req.ArrivalSeconds, Class: c.class, Deadline: c.deadline(),
+			})
+			idxs = append(idxs, i)
+		}
+	}
+	if len(views) == 0 {
+		return nil, false
+	}
+	return q.pending[idxs[q.p.Next(q.now, views)]], true
+}
+
+func (q *linearQueue) nextArrival() float64 {
+	next := math.Inf(1)
+	for _, c := range q.pending {
+		if a := c.req.ArrivalSeconds; a > q.now && a < next {
+			next = a
+		}
+	}
+	return next
+}
+
+func (q *linearQueue) removeEligible(id int) {
+	for i, c := range q.pending {
+		if c.req.ID == id {
+			q.pending = append(q.pending[:i], q.pending[i+1:]...)
+			return
+		}
+	}
+}
+
+// victim offers the running batch, sorted by submission id, to
+// Policy.Victim.
+func (q *linearQueue) victim(blockedDeadline float64) (int, bool) {
+	views := make([]Running, 0, len(q.running))
+	for _, c := range q.running {
+		views = append(views, Running{
+			ID: c.req.ID, PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
+			Arrival: c.req.ArrivalSeconds, Admitted: c.admittedAt, Class: c.class, Deadline: c.deadline(),
+		})
+	}
+	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
+	v := q.p.Victim(q.now, Pending{Deadline: blockedDeadline}, views)
+	if v < 0 {
+		return 0, false
+	}
+	return views[v].ID, true
+}
+
+func (q *linearQueue) drainAll(f func(*call)) {
+	for _, c := range q.pending {
+		f(c)
+	}
+	q.pending = nil
+}
 
 // --- bitset / key-transform properties -------------------------------
 
@@ -144,10 +226,9 @@ func TestScoreboardOrderAgainstReference(t *testing.T) {
 
 // --- satellite regressions -------------------------------------------
 
-// overshootPolicy returns an index past the eligible view — the
-// out-of-contract behaviour a buggy third-party policy exhibits. Before
-// the clamp, the loop treated it like a decline: a loaded system
-// stalled forever with no signal.
+// overshootPolicy returns an index past the eligible view: the kind
+// of out-of-contract third-party policy the closed policy set keeps out
+// of the scheduler.
 type overshootPolicy struct{}
 
 func (overshootPolicy) Name() string { return "overshoot" }
@@ -156,24 +237,26 @@ func (overshootPolicy) Next(now float64, eligible []Pending) int {
 }
 func (overshootPolicy) Victim(now float64, blocked Pending, running []Running) int { return -1 }
 
-func TestPolicyNextOvershootClampedNotStalled(t *testing.T) {
-	s := newServer(t, Config{QueueDepth: 8, Policy: overshootPolicy{}})
-	var tickets []*Ticket
-	for i := 0; i < 4; i++ {
-		tk, err := s.Submit(Request{PromptLen: 64, OutputLen: 8, Arrival: float64(i) * 1e-3})
-		if err != nil {
-			t.Fatal(err)
+// TestNewRejectsNonBuiltinPolicy pins the closed policy set: New
+// refuses any Policy the scoreboard core does not implement, naming its
+// type, instead of scheduling it on some other path.
+func TestNewRejectsNonBuiltinPolicy(t *testing.T) {
+	eng := testEngine(t, engine.BackendZipServ)
+	for _, tc := range []struct {
+		p    Policy
+		want string
+	}{
+		{overshootPolicy{}, "serve.overshootPolicy"},
+		{&SLOPolicy{}, "*serve.SLOPolicy"},
+	} {
+		s, err := New(Config{Engine: eng, Policy: tc.p})
+		if err == nil {
+			t.Errorf("New(%T) = %v, want an error", tc.p, s)
+			continue
 		}
-		tickets = append(tickets, tk)
-	}
-	s.Start()
-	for i, tk := range tickets {
-		if res := awaitResult(t, tk); res.Err != nil {
-			t.Fatalf("request %d failed under clamped overshoot policy: %v", i, res.Err)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%T) error %q does not name the type %s", tc.p, err, tc.want)
 		}
-	}
-	if st := s.Stats(); st.PolicyFaults == 0 {
-		t.Error("policy overshoot completed but PolicyFaults == 0: fault not surfaced")
 	}
 }
 
@@ -275,16 +358,12 @@ func fuzzCall(id int, arrival float64, class Class, ttft float64) *call {
 	return c
 }
 
-func fuzzPending(c *call) Pending {
-	return Pending{ID: c.req.ID, Arrival: c.req.ArrivalSeconds, Class: c.class, Deadline: c.deadline()}
-}
-
-// FuzzPolicyEquivalence drains randomized pending sets through a
-// built-in policy's linear scan and through the scoreboard core, then
-// does the same for victim selection over a randomized running batch,
-// asserting identical choices at every step. Keys are quantised to a
-// coarse grid so full-key ties — where the two implementations are most
-// likely to diverge — occur constantly.
+// FuzzPolicyEquivalence drains randomized pending sets through the
+// linear reference queue and the scoreboard core with identical
+// admissionQueue calls, then does the same for victim selection over a
+// randomized running batch, asserting identical choices at every step.
+// Keys are quantised to a coarse grid so full-key ties — where the two
+// implementations are most likely to diverge — occur constantly.
 func FuzzPolicyEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(1))
@@ -301,10 +380,11 @@ func FuzzPolicyEquivalence(f *testing.F) {
 		case 2:
 			p = SLOPolicy{}
 		}
-		sc := newSchedCore(p)
-		if sc == nil {
-			t.Fatalf("newSchedCore(%T) = nil, want scoreboard core", p)
+		sc, err := newSchedCore(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lin := newLinearQueue(p)
 		now := 8.0
 		count := int(n%64) + 1
 		calls := make([]*call, 0, count)
@@ -320,88 +400,77 @@ func FuzzPolicyEquivalence(f *testing.F) {
 			}
 			c := fuzzCall(i+1, arrival, class, ttft)
 			calls = append(calls, c)
+			lin.add(c)
 			sc.add(c)
 		}
 
-		// Admission drain: at each step the linear reference filters and
-		// scans the remaining views while the core promotes and peeks.
-		remaining := append([]*call(nil), calls...)
-		views := make([]Pending, 0, count)
+		// Admission drain: both queues promote to now, and each step
+		// admits the reference's pick from both.
 		for {
-			views = views[:0]
-			for _, c := range remaining {
-				if c.req.ArrivalSeconds <= now {
-					views = append(views, fuzzPending(c))
-				}
-			}
+			lin.promote(now)
 			sc.promote(now)
-			got, ok := sc.peek()
-			if len(views) == 0 {
-				if ok {
-					t.Fatalf("core eligible %d, linear view empty", got.req.ID)
-				}
+			want, wok := lin.peek()
+			got, gok := sc.peek()
+			if wok != gok {
+				t.Fatalf("policy %s: linear has eligible %v, scoreboard %v", p.Name(), wok, gok)
+			}
+			if !wok {
 				break
 			}
-			if !ok {
-				t.Fatalf("linear view has %d eligible, core empty", len(views))
+			if got.req.ID != want.req.ID {
+				t.Fatalf("policy %s: linear admits %d, scoreboard admits %d", p.Name(), want.req.ID, got.req.ID)
 			}
-			want := views[p.Next(now, views)].ID
-			if got.req.ID != want {
-				t.Fatalf("policy %s: linear admits %d, scoreboard admits %d (eligible %v)",
-					p.Name(), want, got.req.ID, views)
-			}
-			sc.removeEligible(want)
-			for i, c := range remaining {
-				if c.req.ID == want {
-					remaining = append(remaining[:i], remaining[i+1:]...)
-					break
-				}
-			}
+			lin.removeEligible(want.req.ID)
+			sc.removeEligible(want.req.ID)
+		}
+		if lin.len() != sc.len() || lin.nextArrival() != sc.nextArrival() {
+			t.Fatalf("policy %s: future queue linear %d/%g, scoreboard %d/%g",
+				p.Name(), lin.len(), lin.nextArrival(), sc.len(), sc.nextArrival())
 		}
 
 		// Victim drain (SLO only): the same calls as a running batch,
 		// admitted in quantised same-window groups to force full ties.
-		slo, isSLO := p.(SLOPolicy)
-		if !isSLO {
+		if _, isSLO := p.(SLOPolicy); !isSLO {
 			return
 		}
-		running := map[int]*call{}
 		for _, c := range calls {
 			c.admittedAt = float64(rng.Intn(3))
-			running[c.req.ID] = c
+			lin.runningAdd(c)
 			sc.runningAdd(c)
 		}
-		blocked := Pending{ID: count + 1, Deadline: math.Inf(1)}
+		blocked := math.Inf(1)
 		if rng.Intn(4) > 0 {
-			blocked.Deadline = float64(rng.Intn(10))
+			blocked = float64(rng.Intn(10))
 		}
 		for {
-			views := runningViews(running)
-			v := slo.Victim(now, blocked, views)
-			gotID, ok := sc.victim(blocked.Deadline)
-			if v < 0 {
-				if ok {
-					t.Fatalf("linear declines a victim, scoreboard picks %d", gotID)
-				}
+			want, wok := lin.victim(blocked)
+			got, gok := sc.victim(blocked)
+			if wok != gok || got != want {
+				t.Fatalf("linear victim %d (%v), scoreboard victim %d (%v)", want, wok, got, gok)
+			}
+			if !wok {
 				break
 			}
-			if !ok {
-				t.Fatalf("linear picks victim %d, scoreboard declines", views[v].ID)
-			}
-			if gotID != views[v].ID {
-				t.Fatalf("linear victim %d, scoreboard victim %d (running %v)", views[v].ID, gotID, views)
-			}
-			delete(running, gotID)
-			sc.runningRemove(gotID)
+			lin.runningRemove(want)
+			sc.runningRemove(want)
 		}
 	})
 }
 
+// replayLinear is replay with the linear reference queue installed in
+// place of the scoreboard core.
+func replayLinear(t *testing.T, cfg Config, reqs []Request) []Result {
+	t.Helper()
+	s := newServer(t, cfg)
+	s.q = newLinearQueue(cfg.Policy)
+	return replayOn(t, s, reqs)
+}
+
 // TestScoreboardReplayMatchesLinear is the whole-server differential:
 // for every built-in policy, an identical trace replayed through the
-// scoreboard core and through the legacy linear path (policy wrapped in
-// linearOnly) must produce byte-identical schedules — admission,
-// first-token and finish stamps, and preemption counts.
+// scoreboard core and through the linear reference queue must produce
+// byte-identical schedules — admission, first-token and finish stamps,
+// and preemption counts.
 func TestScoreboardReplayMatchesLinear(t *testing.T) {
 	eng := testEngine(t, engine.BackendZipServ)
 	reqs := mixedTrace(48)
@@ -409,8 +478,7 @@ func TestScoreboardReplayMatchesLinear(t *testing.T) {
 		cfg := Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8}
 		cfg.Policy = p
 		sb := replay(t, cfg, reqs)
-		cfg.Policy = linearOnly{p}
-		lin := replay(t, cfg, reqs)
+		lin := replayLinear(t, cfg, reqs)
 		for i := range sb {
 			if sb[i].Admitted != lin[i].Admitted || sb[i].FirstToken != lin[i].FirstToken ||
 				sb[i].Finished != lin[i].Finished || sb[i].Preempted != lin[i].Preempted {
@@ -422,7 +490,7 @@ func TestScoreboardReplayMatchesLinear(t *testing.T) {
 
 // TestScoreboardPreemptionMatchesLinear runs the preemption-heavy SLO
 // scenario (capacity-pinning hogs vs an urgent deadline, chunked
-// prefill) through both paths: victim choices — and hence the whole
+// prefill) through both queues: victim choices — and hence the whole
 // schedule — must match exactly.
 func TestScoreboardPreemptionMatchesLinear(t *testing.T) {
 	eng := testEngine(t, engine.BackendZipServ)
@@ -436,8 +504,7 @@ func TestScoreboardPreemptionMatchesLinear(t *testing.T) {
 	cfg := Config{Engine: eng, QueueDepth: 8, PrefillChunkTokens: 128}
 	cfg.Policy = SLOPolicy{}
 	sb := replay(t, cfg, reqs)
-	cfg.Policy = linearOnly{SLOPolicy{}}
-	lin := replay(t, cfg, reqs)
+	lin := replayLinear(t, cfg, reqs)
 	preempts := 0
 	for i := range sb {
 		if sb[i].Admitted != lin[i].Admitted || sb[i].Finished != lin[i].Finished ||

@@ -13,8 +13,8 @@
 //     engine.Stepper (the iteration-level continuous-batching state
 //     machine over the paged KV-cache plan) and loops over admission →
 //     prefill → decode, exactly as a vLLM-class engine loop does.
-//   - Policy — who runs next. Admission ordering is delegated to a
-//     pluggable Policy: FIFOPolicy (the default, head-of-line order),
+//   - Policy — who runs next. Admission ordering is one of the
+//     built-in policies: FIFOPolicy (the default, head-of-line order),
 //     PriorityPolicy (interactive before batch, starvation-free via
 //     aging), and SLOPolicy (earliest-TTFT-deadline-first, with
 //     preempt-and-requeue when an urgent request cannot fit). The
@@ -142,16 +142,16 @@ type Config struct {
 	Engine *engine.Engine
 	// QueueDepth bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it. Default 64. Per-slot scheduling cost is
-	// O(1) in queue depth for the built-in policies (the bitmap-
-	// scoreboard core, docs/scheduling.md), so depth can be sized for
-	// burst absorption alone; custom Policy implementations pay a
-	// linear scan per slot.
+	// O(1) in queue depth (the bitmap-scoreboard core,
+	// docs/scheduling.md), so depth can be sized for burst absorption
+	// alone.
 	QueueDepth int
 	// MaxBatch caps concurrently scheduled sequences (0 = KV capacity
 	// is the only limit).
 	MaxBatch int
-	// Policy orders admission (and selects preemption victims). Nil
-	// defaults to FIFOPolicy, PR 1's exact behaviour.
+	// Policy orders admission (and selects preemption victims): one of
+	// the built-ins from PolicyByName, or New fails. Nil defaults to
+	// FIFOPolicy.
 	Policy Policy
 	// PaddedPrefill disables token-packed prefill and prices prefill
 	// batches padded to the longest prompt, reproducing the offline
@@ -307,11 +307,6 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	Preempted int64 `json:"preempted"` // policy evictions (requeued, not failed)
-	// PolicyFaults counts out-of-contract Policy.Next returns (an index
-	// past the eligible view) the scheduler clamped to the queue head —
-	// always 0 for the built-in policies; a nonzero value means a custom
-	// policy is buggy and the loop is overriding it to stay live.
-	PolicyFaults int64 `json:"policy_faults,omitempty"`
 
 	Queued int `json:"queued"` // waiting for admission
 	Active int `json:"active"` // holding KV capacity

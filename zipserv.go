@@ -21,9 +21,10 @@
 //     queue wait) and aggregate goodput, exposed over HTTP by
 //     cmd/zipserv-server as POST /v1/generate (429 on queue overflow,
 //     NDJSON streaming) and GET /v1/stats;
-//   - pluggable scheduling and sharded routing on top of it: admission
-//     order is a LivePolicy ("fifo" by default, "priority" for
-//     starvation-free interactive-before-batch classes, "slo" for
+//   - scheduling and sharded routing on top of it: admission order is
+//     one of the built-in LivePolicy values from LivePolicyByName
+//     ("fifo" by default, "priority" for starvation-free
+//     interactive-before-batch classes, "slo" for
 //     earliest-TTFT-deadline-first with preempt-and-requeue), and the
 //     HTTP layer binds to a LiveBackend — either one server or a
 //     LiveRouter sharding requests across N replicas by queue depth
@@ -351,10 +352,11 @@ func NewLiveServer(cfg LiveConfig) (*LiveServer, error) { return serve.New(cfg) 
 // ---- Scheduling policies and sharded routing ----
 
 // LivePolicy orders admission in the live scheduler and selects
-// preemption victims: who runs next, as a first-class pluggable
-// decision. Built-ins: FIFO (default), priority (interactive before
-// batch, starvation-free via aging) and slo
-// (earliest-TTFT-deadline-first with preempt-and-requeue).
+// preemption victims: who runs next. The set is closed to the
+// built-ins, obtained with LivePolicyByName: FIFO (default), priority
+// (interactive before batch, starvation-free via aging) and slo
+// (earliest-TTFT-deadline-first with preempt-and-requeue). The live
+// server rejects any other implementation.
 type LivePolicy = serve.Policy
 
 // LiveClass is a request priority class for the priority policy.
