@@ -1,67 +1,62 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"text/tabwriter"
 )
 
-// csvTable accumulates one compare-mode result table for the -csv
-// export every comparison mode shares (-compare-policies,
-// -compare-chunking, -compare-prefix, -compare-compress,
-// -compare-adaptive, -compare-disagg): one header, one row per
-// configuration, written in a single place instead of each mode
-// hand-rolling its own writer.
-type csvTable struct {
+// table is one scenario's result: a header and one row per variant.
+// The same cells go to the stdout table and the -csv export, so the two
+// cannot drift apart.
+type table struct {
 	columns []string
 	rows    [][]string
 }
 
-func newCSVTable(columns ...string) *csvTable {
-	return &csvTable{columns: columns}
+// print writes the table to w in aligned columns.
+func (t *table) print(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	t.write(tw, "\t")
+	return tw.Flush()
 }
 
-// add appends one row; the cell count must match the header.
-func (t *csvTable) add(cells ...string) {
-	if len(cells) != len(t.columns) {
-		panic(fmt.Sprintf("csv row has %d cells for %d columns", len(cells), len(t.columns)))
-	}
-	t.rows = append(t.rows, cells)
-}
-
-// write exports the table to path; a no-op when path is empty so
-// callers pass the -csv flag through unconditionally. The comparison
-// values are plain numbers and identifiers, so no quoting is needed.
-func (t *csvTable) write(path string) error {
+// writeCSV exports the table to path and notes it on w; a no-op when
+// path is empty. The cells are plain numbers and identifiers, so no
+// quoting is needed.
+func (t *table) writeCSV(w io.Writer, path string) error {
 	if path == "" {
 		return nil
 	}
-	var b strings.Builder
-	b.WriteString(strings.Join(t.columns, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	var b bytes.Buffer
+	t.write(&b, ",")
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
 
-// winGate is the shared CI perf-regression gate every -require-*-win
-// flag funnels through. Each compare mode states its requirements in
-// order; when the gate is armed, the first violated requirement fails
-// the run with a uniform "perf regression" error, so the modes cannot
-// drift apart on gating semantics. Disarmed, every requirement is a
-// no-op and the comparison is informational.
+// write renders the header and one line per row, cells joined by sep.
+func (t *table) write(w io.Writer, sep string) {
+	for _, row := range append([][]string{t.columns}, t.rows...) {
+		fmt.Fprintln(w, strings.Join(row, sep))
+	}
+}
+
+// winGate is the CI perf-regression gate behind -require-win. Each
+// scenario states its requirements in order; when the gate is armed,
+// the first violated requirement fails the run with a uniform "perf
+// regression" error, so the scenarios cannot drift apart on gating
+// semantics. Disarmed, every requirement is a no-op and the comparison
+// is informational.
 type winGate struct {
 	armed bool
 	err   error
 }
-
-func newWinGate(armed bool) *winGate { return &winGate{armed: armed} }
 
 // require records a violation when the gate is armed and cond is false.
 // The first violation wins; later requirements are still cheap to
@@ -71,6 +66,3 @@ func (g *winGate) require(cond bool, format string, args ...any) {
 		g.err = fmt.Errorf("perf regression: "+format, args...)
 	}
 }
-
-// result returns the first recorded violation, if any.
-func (g *winGate) result() error { return g.err }

@@ -45,7 +45,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 
 // mixedAdaptiveTrace builds the mixed long-prompt + shared-prefix
 // workload both the enforced adaptive-vs-static tests and the CLI's
-// -compare-adaptive mode replay: bursts of short decoders sharing a
+// -scenario adaptive replay: bursts of short decoders sharing a
 // prompt prefix, with two long unique prompts riding every burst — the
 // regime-switching pattern (deep decode batch during a burst, idle
 // drain between bursts) where a static chunk budget must pick one
