@@ -331,8 +331,9 @@ var scenarios = []scenario{
 			g.require(off.stats.LostRequests >= 1 && off.stats.Failed >= 1,
 				"fragile fleet lost %d / failed %d; the plan must cost an unprotected fleet requests",
 				off.stats.LostRequests, off.stats.Failed)
-			g.require(on.stats.Completed+off.stats.Failed >= n,
-				"fragile fleet completed %d and failed %d of %d", off.stats.Completed, off.stats.Failed, n)
+			g.require(off.stats.Completed+off.stats.Failed == n,
+				"fragile fleet completed %d and failed %d of %d; every request must end one way or the other",
+				off.stats.Completed, off.stats.Failed, n)
 			g.require(on.replayIdentical(),
 				"two resilience-on replays diverged:\n--- first ---\n%s--- second ---\n%s",
 				schedule(on.reqs, on.results), schedule(on.reqs, on.rerun))

@@ -31,8 +31,11 @@ type Result struct {
 // benchLine matches e.g.
 //
 //	BenchmarkStepperDecodeHeavy-8   4936   249973 ns/op   200832 B/op   42 allocs/op
+//
+// skipping the MB/s column a benchmark that calls b.SetBytes reports
+// between ns/op and B/op.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // Parse extracts benchmark results from `go test -bench` output,
 // ignoring the surrounding goos/pkg/PASS chatter.

@@ -36,6 +36,18 @@ func TestParse(t *testing.T) {
 	if got[3].NsPerOp != 182335.5 || got[3].AllocsPerOp != -1 || got[3].BytesPerOp != -1 {
 		t.Errorf("benchmem-less line parsed as %+v", got[3])
 	}
+	// A benchmark that calls b.SetBytes adds an MB/s column before
+	// B/op; its allocs must still parse, or an allocs gate on it
+	// would fail for want of data.
+	withBytes, err := Parse(strings.NewReader(
+		"BenchmarkBlockCompress-2   28003   42606 ns/op   192.28 MB/s   5992 B/op   7 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := withBytes[0]; r.Name != "BenchmarkBlockCompress" || r.NsPerOp != 42606 ||
+		r.BytesPerOp != 5992 || r.AllocsPerOp != 7 {
+		t.Errorf("MB/s line parsed as %+v", r)
+	}
 	if _, err := Parse(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input accepted")
 	}

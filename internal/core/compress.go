@@ -45,81 +45,191 @@ func CompressWithOptions(m *bf16.Matrix, opts Options) (*Compressed, error) {
 		c.BaseExp = int16(c.Codebook[0]) - 1 // informational only
 	}
 
-	// Phase II: tile encoding. Blocks are visited row-major; frags in
-	// storage order; positions row-major within each frag — the same
-	// order the decoder uses, so offsets line up with no per-element
-	// index metadata. Blocks are independent, so they encode in
-	// parallel across GOMAXPROCS workers into per-block buffers that
-	// are stitched in order afterwards: output bytes are identical to
-	// the sequential encoder's (the checkpoint tests rely on that
-	// determinism).
-	n := opts.CodewordBits
+	// Phase II: tile encoding, in two passes over each block so every
+	// buffer is allocated exactly once at its final size. Pass 1
+	// computes the bit-planes and counts each block's in-window
+	// elements; a prefix sum turns the counts into the GroupTile
+	// offsets; pass 2 writes each block's values straight into its
+	// region of High and Full. Blocks are visited row-major, frags in
+	// storage order, positions row-major within each frag — the order
+	// the decoder uses, so offsets line up with no per-element index
+	// metadata. Blocks are independent and write disjoint regions, so
+	// both passes run in parallel across GOMAXPROCS workers with output
+	// identical to a sequential encoder's (the checkpoint tests rely on
+	// that determinism).
 	g := c.Grid
-	c.Planes = make([]uint64, g.NumFrags()*n)
-	c.HighOff = make([]int64, g.NumBlocks()+1)
-	c.FullOff = make([]int64, g.NumBlocks()+1)
-
-	highs := make([][]uint8, g.NumBlocks())
-	fulls := make([][]uint16, g.NumBlocks())
-	parallelBlocks(g.NumBlocks(), func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			highs[b], fulls[b] = c.encodeBlock(m, b)
-		}
-	})
-
-	var totalHigh, totalFull int
-	for b := 0; b < g.NumBlocks(); b++ {
-		totalHigh += len(highs[b])
-		totalFull += len(fulls[b])
+	nb := g.NumBlocks()
+	c.Planes = make([]uint64, g.NumFrags()*opts.CodewordBits)
+	c.HighOff = make([]int64, nb+1)
+	c.FullOff = make([]int64, nb+1)
+	enc := blockEncoder{c: c, m: m, codes: c.codeTable()}
+	enc.each(blockEncoder.planes)
+	for b := 0; b < nb; b++ {
+		hi := c.HighOff[b+1] // pass 1 left the block's in-window count here
+		c.HighOff[b+1] = c.HighOff[b] + hi
+		c.FullOff[b+1] = c.FullOff[b] + tile.BlockDim*tile.BlockDim - hi
 	}
-	c.High = make([]uint8, 0, totalHigh)
-	c.Full = make([]uint16, 0, totalFull)
-	for b := 0; b < g.NumBlocks(); b++ {
-		c.High = append(c.High, highs[b]...)
-		c.Full = append(c.Full, fulls[b]...)
-		c.HighOff[b+1] = int64(len(c.High))
-		c.FullOff[b+1] = int64(len(c.Full))
-	}
+	c.High = make([]uint8, c.HighOff[nb])
+	c.Full = make([]uint16, c.FullOff[nb])
+	enc.each(blockEncoder.values)
 	return c, nil
 }
 
-// encodeBlock encodes one 64×64 BlockTile, writing its bit-planes into
-// the shared Planes array (disjoint region per block) and returning
-// its value buffers. Padding elements encode as codeword 1 with zero
-// sign/mantissa — one High byte each, never read back.
-func (c *Compressed) encodeBlock(m *bf16.Matrix, b int) (high []uint8, full []uint16) {
-	const padCode = 1
-	n := c.Opts.CodewordBits
-	g := c.Grid
-	for f := 0; f < tile.FragsPerBlock; f++ {
-		frag := b*tile.FragsPerBlock + f
-		planes := c.Planes[frag*n : frag*n+n]
-		for p := 0; p < tile.FragElems; p++ {
-			r, col := g.FromCoord(tile.Coord{Block: b, Frag: f, Pos: p})
-			var w bf16.BF16
-			pad := !g.InBounds(r, col)
-			if !pad {
-				w = m.At(r, col)
-			}
-			code := 0
-			switch {
-			case pad:
-				code = padCode
-				w = 0 // sign 0, mantissa 0
-			default:
-				code = c.codeForExponent(w.Exponent())
-			}
-			if code != 0 {
-				for bit := 0; bit < n; bit++ {
-					planes[bit] |= uint64((code>>bit)&1) << p
+// padCode is the codeword padding elements encode as: one zero
+// sign/mantissa byte each in High, never read back.
+const padCode = 1
+
+// codeTable maps every 8-bit exponent to its 1-based codeword, or 0
+// for an outlier, so the encoder classifies an element with one load.
+func (c *Compressed) codeTable() [256]uint8 {
+	var codes [256]uint8
+	for e := range codes {
+		codes[e] = uint8(c.codeForExponent(uint8(e)))
+	}
+	return codes
+}
+
+// fragOrigins is the host-side tile geometry, computed once: the
+// (row, col) of each FragTile's top-left element within its BlockTile,
+// indexed by storage order. The codec walks a frag as FragDim
+// contiguous row slices from its origin instead of mapping every
+// element through tile.Grid.FromCoord.
+var fragOrigins = func() (o [tile.FragsPerBlock]struct{ row, col int }) {
+	g := tile.NewGrid(tile.BlockDim, tile.BlockDim)
+	for f := range o {
+		o[f].row, o[f].col = g.FromCoord(tile.Coord{Frag: f})
+	}
+	return o
+}()
+
+// blockOrigin returns the matrix (row, col) of BlockTile b's top-left
+// element.
+func blockOrigin(g tile.Grid, b int) (row, col int) {
+	return b / g.BlockCols * tile.BlockDim, b % g.BlockCols * tile.BlockDim
+}
+
+// fragRow returns the in-bounds part of row i of frag f in the block
+// at (row0, col0): a slice of m.Data of length 0..FragDim, aliasing the
+// matrix, so the encoder reads and the decoder writes it directly.
+// Positions past its length are padding.
+func fragRow(m *bf16.Matrix, row0, col0, f, i int) []bf16.BF16 {
+	r, c := row0+fragOrigins[f].row+i, col0+fragOrigins[f].col
+	if r >= m.Rows || c >= m.Cols {
+		return nil
+	}
+	end := c + tile.FragDim
+	if end > m.Cols {
+		end = m.Cols
+	}
+	return m.Data[r*m.Cols+c : r*m.Cols+end]
+}
+
+// blockEncoder carries one Compress call's state into its two
+// per-block passes.
+type blockEncoder struct {
+	c     *Compressed
+	m     *bf16.Matrix
+	codes [256]uint8
+}
+
+// each runs pass over every block. A single block (a KV block) runs in
+// place, so the encoder is never captured by a closure and Compress
+// allocates nothing beyond its output; larger matrices split their
+// blocks across workers.
+func (e blockEncoder) each(pass func(e blockEncoder, lo, hi int)) {
+	nb := e.c.Grid.NumBlocks()
+	if nb == 1 {
+		pass(e, 0, 1)
+		return
+	}
+	shared := e
+	parallelBlocks(nb, func(lo, hi int) { pass(shared, lo, hi) })
+}
+
+// planes is pass 1 over blocks [lo, hi): it writes each frag's
+// bit-planes and leaves block b's in-window element count (padding
+// included) in HighOff[b+1]. A row's eight codewords are gathered one
+// per byte of a uint64 and then split into the row's byte of each
+// plane with gatherBits; the n plane words of a frag stay in locals
+// until the frag is done. Codewords have at most four bits, so planes
+// above n stay zero and are not stored.
+func (e blockEncoder) planes(lo, hi int) {
+	c, n := e.c, e.c.Opts.CodewordBits
+	for b := lo; b < hi; b++ {
+		row0, col0 := blockOrigin(c.Grid, b)
+		count := 0
+		for f := 0; f < tile.FragsPerBlock; f++ {
+			var p0, p1, p2, p3 uint64
+			for i := 0; i < tile.FragDim; i++ {
+				row := fragRow(e.m, row0, col0, f, i)
+				codes := padCodes &^ (uint64(1)<<(8*len(row)) - 1) // 0 for a full row
+				for j, w := range row {
+					codes |= uint64(e.codes[w.Exponent()]) << (8 * j)
 				}
-				high = append(high, w.PackSignMantissa())
-			} else {
-				full = append(full, w.Bits())
+				s := uint(i * tile.FragDim)
+				p0 |= gatherBits(codes) << s
+				p1 |= gatherBits(codes>>1) << s
+				p2 |= gatherBits(codes>>2) << s
+				p3 |= gatherBits(codes>>3) << s
+			}
+			pl := [...]uint64{p0, p1, p2, p3}
+			frag := b*tile.FragsPerBlock + f
+			copy(c.Planes[frag*n:frag*n+n], pl[:n])
+			count += popcount(p0 | p1 | p2 | p3)
+		}
+		c.HighOff[b+1] = int64(count)
+	}
+}
+
+// padCodes is a row of eight padCode codewords, one per byte.
+const padCodes = padCode * 0x0101010101010101
+
+// gatherBits returns bit 0 of each byte of x packed into one byte, byte
+// j's bit landing in bit j: the inverse of spreadBits. The multiply
+// shifts bit 8j up to bit 56+j with no two partial products sharing a
+// bit position, so no carries disturb the result.
+func gatherBits(x uint64) uint64 {
+	return (x & 0x0101010101010101) * 0x0102040810204080 >> 56
+}
+
+// values is pass 2 over blocks [lo, hi): it routes each element to
+// High or Full by its frag's indicator bit, with running counters in
+// place of any per-element rank computation. Padding takes a High
+// slot that the zeroed allocation already holds.
+func (e blockEncoder) values(lo, hi int) {
+	c := e.c
+	for b := lo; b < hi; b++ {
+		row0, col0 := blockOrigin(c.Grid, b)
+		high := c.High[c.HighOff[b]:c.HighOff[b+1]]
+		full := c.Full[c.FullOff[b]:c.FullOff[b+1]]
+		h, l := 0, 0
+		for f := 0; f < tile.FragsPerBlock; f++ {
+			ind := c.Indicator(b*tile.FragsPerBlock + f)
+			for i := 0; i < tile.FragDim; i++ {
+				row := fragRow(e.m, row0, col0, f, i)
+				bitsLeft := ind >> uint(i*tile.FragDim)
+				if uint8(bitsLeft) == 0xFF && len(row) == tile.FragDim { // the common all-in-window row
+					dst := high[h : h+tile.FragDim]
+					for j, w := range row {
+						dst[j] = w.PackSignMantissa()
+					}
+					h += tile.FragDim
+					continue
+				}
+				for _, w := range row {
+					if bitsLeft&1 != 0 {
+						high[h] = w.PackSignMantissa()
+						h++
+					} else {
+						full[l] = w.Bits()
+						l++
+					}
+					bitsLeft >>= 1
+				}
+				h += tile.FragDim - len(row)
 			}
 		}
 	}
-	return high, full
 }
 
 // parallelBlocks splits [0, n) into contiguous chunks across

@@ -44,31 +44,10 @@ type FragView [tile.FragElems]bf16.BF16
 
 // Decompress reconstructs the original matrix bit-for-bit. It walks
 // blocks and frags in storage order, decoding each FragTile with the
-// thread-local procedure of Algorithm 2 and discarding padding.
+// thread-local procedure of Algorithm 2 and writing its in-bounds
+// rows into the matrix as contiguous slices, discarding padding.
 func Decompress(c *Compressed) (*bf16.Matrix, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	g := c.Grid
-	m := bf16.NewMatrix(g.Rows, g.Cols)
-	var fv FragView
-	for b := 0; b < g.NumBlocks(); b++ {
-		startH, startL := c.HighOff[b], c.FullOff[b]
-		for f := 0; f < tile.FragsPerBlock; f++ {
-			frag := b*tile.FragsPerBlock + f
-			c.decodeFrag(frag, startH, startL, &fv, nil)
-			for p := 0; p < tile.FragElems; p++ {
-				r, col := g.FromCoord(tile.Coord{Block: b, Frag: f, Pos: p})
-				if g.InBounds(r, col) {
-					m.Set(r, col, fv[p])
-				}
-			}
-			hi := popcount(c.Indicator(frag))
-			startH += int64(hi)
-			startL += int64(tile.FragElems - hi)
-		}
-	}
-	return m, nil
+	return decompress(c, nil)
 }
 
 // DecompressCounted is Decompress plus architectural event counting;
@@ -76,30 +55,42 @@ func Decompress(c *Compressed) (*bf16.Matrix, error) {
 // decompression benchmarks (Figure 13).
 func DecompressCounted(c *Compressed) (*bf16.Matrix, Counters, error) {
 	var ctr Counters
+	m, err := decompress(c, &ctr)
+	if err != nil {
+		return nil, Counters{}, err
+	}
+	ctr.BytesRead = int64(c.SizeBytes())
+	return m, ctr, nil
+}
+
+// decompress is the one decode walk behind Decompress and
+// DecompressCounted, adding each frag's fragDecodeCost into ctr when
+// it is non-nil. Validate has checked every block's buffer spans
+// against its bitmaps, so the running offsets stay in bounds.
+func decompress(c *Compressed, ctr *Counters) (*bf16.Matrix, error) {
 	if err := c.Validate(); err != nil {
-		return nil, ctr, err
+		return nil, err
 	}
 	g := c.Grid
 	m := bf16.NewMatrix(g.Rows, g.Cols)
+	exps := c.exponentFields()
 	var fv FragView
 	for b := 0; b < g.NumBlocks(); b++ {
+		row0, col0 := blockOrigin(g, b)
 		startH, startL := c.HighOff[b], c.FullOff[b]
 		for f := 0; f < tile.FragsPerBlock; f++ {
-			frag := b*tile.FragsPerBlock + f
-			c.decodeFrag(frag, startH, startL, &fv, &ctr)
-			for p := 0; p < tile.FragElems; p++ {
-				r, col := g.FromCoord(tile.Coord{Block: b, Frag: f, Pos: p})
-				if g.InBounds(r, col) {
-					m.Set(r, col, fv[p])
-				}
+			hi := c.decodeFrag(b*tile.FragsPerBlock+f, startH, startL, &exps, &fv)
+			if ctr != nil {
+				ctr.Add(c.fragDecodeCost(hi))
 			}
-			hi := popcount(c.Indicator(frag))
+			for i := 0; i < tile.FragDim; i++ {
+				copy(fragRow(m, row0, col0, f, i), fv[i*tile.FragDim:])
+			}
 			startH += int64(hi)
 			startL += int64(tile.FragElems - hi)
 		}
 	}
-	ctr.BytesRead = int64(c.SizeBytes())
-	return m, ctr, nil
+	return m, nil
 }
 
 // FragStarts returns the High and Full buffer offsets at which global
@@ -124,63 +115,109 @@ func (c *Compressed) FragStarts(frag int) (startH, startL int64) {
 // incrementally instead of calling FragStarts per tile.
 func (c *Compressed) DecodeFrag(frag int, out *FragView) {
 	startH, startL := c.FragStarts(frag)
-	c.decodeFrag(frag, startH, startL, out, nil)
+	c.DecodeFragAt(frag, startH, startL, out, nil)
 }
 
 // DecodeFragAt decodes FragTile frag given its known buffer offsets,
 // optionally counting architectural events into ctr (nil to skip).
 func (c *Compressed) DecodeFragAt(frag int, startH, startL int64, out *FragView, ctr *Counters) {
-	c.decodeFrag(frag, startH, startL, out, ctr)
+	exps := c.exponentFields()
+	hi := c.decodeFrag(frag, startH, startL, &exps, out)
+	if ctr != nil {
+		ctr.Add(c.fragDecodeCost(hi))
+	}
 }
 
+// exponentFields maps each codeword 1..2^n−1 to its exponent, already
+// placed in a BF16's exponent field (entry 0 is unused): the implicit
+// base+code under WindowSelection, the codebook under
+// TopFrequencySelection. OR-ed with packedFields[byte] it reassembles
+// an in-window element with two loads.
+func (c *Compressed) exponentFields() (exps [1 << maxCodewordBits]bf16.BF16) {
+	for code := 1; code <= c.Opts.WindowSize(); code++ {
+		exps[code] = bf16.Assemble(0, c.exponentForCode(code), 0)
+	}
+	return exps
+}
+
+// packedFields maps a PackedSignMantissa byte to the BF16 carrying its
+// sign and mantissa with a zero exponent.
+var packedFields = func() (t [256]bf16.BF16) {
+	for b := range t {
+		sign, mant := bf16.UnpackSignMantissa(uint8(b))
+		t[b] = bf16.Assemble(sign, 0, mant)
+	}
+	return t
+}()
+
+// spreadBits maps a byte to a uint64 holding its bit j in bit 0 of
+// byte j. OR-ing the spread of FragTile row i's byte from each plane,
+// shifted by the plane number, yields the row's eight codewords one
+// per byte — four lookups per row in place of per-element bit
+// gathers.
+var spreadBits = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
 // decodeFrag implements the three-stage thread-local decompressor of
-// §4.3.2 for one 8×8 FragTile:
+// §4.3.2 for one 8×8 FragTile and returns its in-window element count:
 //
 //  1. Spatial bitmap indicator: M = B1 | B2 | B3 classifies every
 //     position as compressed (1) or fallback (0).
-//  2. Dynamic addressing: lane offsets are prefix popcounts over M —
-//     in-window elements index High by the count of 1s below their
-//     position, outliers index Full by the count of 0s.
+//  2. Dynamic addressing: an in-window element indexes High by the
+//     count of 1s of M below its position, an outlier indexes Full by
+//     the count of 0s. The GPU computes each count as a prefix
+//     popcount in its lane; walking positions in order, the host keeps
+//     the two counts as running counters instead.
 //  3. Fast exponent reassembly: exponent = BaseExp + code (implicit
-//     lookup), fused with the packed sign/mantissa byte into a BF16.
+//     lookup), fused with the packed sign/mantissa byte into a BF16 —
+//     here one OR of two precomputed fields.
 //
-// The loop nests lanes × slots rather than flat positions to mirror
-// warp execution: every lane runs the identical instruction sequence,
-// which is what the Counters tally models.
-func (c *Compressed) decodeFrag(frag int, startH, startL int64, out *FragView, ctr *Counters) {
+// The n plane words stay in locals (planes above n are zero) and each
+// row's codewords are gathered at once through spreadBits. Counters
+// model the warp's instruction stream separately (fragDecodeCost), so
+// this loop is free to be the host's fastest equivalent.
+func (c *Compressed) decodeFrag(frag int, startH, startL int64, exps *[1 << maxCodewordBits]bf16.BF16, out *FragView) int {
 	n := c.Opts.CodewordBits
-	planes := c.Planes[frag*n : frag*n+n]
-	m := uint64(0)
-	for _, pl := range planes {
-		m |= pl
-	}
-	implicit := c.Opts.Selection == WindowSelection
-
-	for lane := 0; lane < tile.WarpLanes; lane++ {
-		for k := 0; k < tile.ElemsPerLane; k++ {
-			p := uint(tile.ElemsPerLane*lane + k)
-			mask := uint64(1)<<p - 1
-			idxH := popcount(m & mask)
-			if m>>p&1 == 1 {
-				// Case A: high-frequency path.
-				packed := c.High[startH+int64(idxH)]
-				code := 0
-				for bit := 0; bit < n; bit++ {
-					code |= int(planes[bit]>>p&1) << bit
-				}
-				sign, mant := bf16.UnpackSignMantissa(packed)
-				out[p] = bf16.Assemble(sign, c.exponentForCode(code), mant)
+	var pl [maxCodewordBits]uint64
+	copy(pl[:], c.Planes[frag*n:frag*n+n])
+	p0, p1, p2, p3 := pl[0], pl[1], pl[2], pl[3]
+	hi := popcount(p0 | p1 | p2 | p3)
+	high := c.High[startH : startH+int64(hi)]
+	full := c.Full[startL : startL+int64(tile.FragElems-hi)]
+	h, l := 0, 0
+	for i := 0; i < tile.FragDim; i++ {
+		s := uint(i * tile.FragDim)
+		codes := spreadBits[uint8(p0>>s)] | spreadBits[uint8(p1>>s)]<<1 |
+			spreadBits[uint8(p2>>s)]<<2 | spreadBits[uint8(p3>>s)]<<3
+		row := out[i*tile.FragDim : i*tile.FragDim+tile.FragDim]
+		if uint8((p0|p1|p2|p3)>>s) == 0xFF { // the common all-in-window row
+			src := high[h : h+tile.FragDim]
+			for j := range row {
+				row[j] = packedFields[src[j]] | exps[codes&(1<<maxCodewordBits-1)]
+				codes >>= 8
+			}
+			h += tile.FragDim
+			continue
+		}
+		for j := range row {
+			code := codes & (1<<maxCodewordBits - 1)
+			codes >>= 8
+			if code != 0 {
+				row[j] = packedFields[high[h]] | exps[code]
+				h++
 			} else {
-				// Case B: fallback path.
-				idxL := int(p) - idxH
-				out[p] = bf16.FromBits(c.Full[startL+int64(idxL)])
+				row[j] = bf16.FromBits(full[l])
+				l++
 			}
 		}
 	}
-
-	if ctr != nil {
-		ctr.Add(fragDecodeCost(n, popcount(m), implicit))
-	}
+	return hi
 }
 
 // DecodeALUOpsPerElement returns the expected integer-pipeline
@@ -195,6 +232,12 @@ func DecodeALUOpsPerElement(n int, coverage float64) float64 {
 	high := coverage * float64((n+2)+(n+1)+1)              // code gather+reassembly SHF/LOP3 + implicit IADD
 	low := (1 - coverage) * 1.0                            // fallback index IADD
 	return indicator + base + high + low
+}
+
+// fragDecodeCost prices one of c's FragTiles with hi in-window
+// elements.
+func (c *Compressed) fragDecodeCost(hi int) Counters {
+	return fragDecodeCost(c.Opts.CodewordBits, hi, c.Opts.Selection == WindowSelection)
 }
 
 // fragDecodeCost returns the deterministic instruction cost of

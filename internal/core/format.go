@@ -19,7 +19,16 @@
 // bit-planes into a spatial indicator mask, uses popcount over a prefix
 // of that mask to compute its buffer offset (dynamic addressing), and
 // reconstructs the exponent as BaseExp + code (implicit lookup) — no
-// variable-length bitstream, no divergence, no tables.
+// variable-length bitstream, no divergence, no codebook.
+//
+// The host codec is table-driven in a different sense: small
+// package-level tables, built once, hold the tile geometry (each
+// FragTile's origin within its BlockTile, so a frag is walked as eight
+// contiguous row slices) and bit-twiddling shortcuts (spreading a
+// plane's row byte into per-element codewords, and the BF16 field of
+// each PackedSignMantissa byte). They replace per-element index
+// arithmetic; none of them is part of the format, and decoding still
+// needs no codebook under the default window selection.
 package core
 
 import (
@@ -74,8 +83,12 @@ func DefaultOptions() Options {
 	return Options{CodewordBits: 3, Selection: WindowSelection}
 }
 
+// maxCodewordBits is the widest supported codeword; the host codec
+// sizes its per-frag plane locals and codeword tables by it.
+const maxCodewordBits = 4
+
 func (o Options) validate() error {
-	if o.CodewordBits < 2 || o.CodewordBits > 4 {
+	if o.CodewordBits < 2 || o.CodewordBits > maxCodewordBits {
 		return fmt.Errorf("core: codeword length %d outside supported range [2,4]", o.CodewordBits)
 	}
 	if o.Selection != WindowSelection && o.Selection != TopFrequencySelection {

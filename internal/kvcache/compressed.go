@@ -108,13 +108,19 @@ func (s *CompressedStore) Has(blockID int) bool {
 // reshape is skipped only when it could not change the tile layout
 // (the tensor is empty, or already exactly 64 rows) — row alignment
 // alone is not enough, since a 128×8 block is 64-row-aligned yet
-// still pays two half-empty tile rows unless reshaped to 64×16.
+// still pays two half-empty tile rows unless reshaped to 64×16. When
+// the element count is a multiple of 64 (a 16×256 KV block is 4096)
+// the result is a view sharing kv.Data, which the codec only reads;
+// only a tensor that needs padding is copied.
 func reshapeForTiles(kv *bf16.Matrix) *bf16.Matrix {
 	n := kv.NumElements()
 	if n == 0 || kv.Rows == 64 {
 		return kv
 	}
 	cols := (n + 63) / 64
+	if n%64 == 0 {
+		return &bf16.Matrix{Rows: 64, Cols: cols, Data: kv.Data[:n:n]}
+	}
 	flat := make([]bf16.BF16, 64*cols)
 	copy(flat, kv.Data)
 	return &bf16.Matrix{Rows: 64, Cols: cols, Data: flat}

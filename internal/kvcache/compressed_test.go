@@ -122,6 +122,47 @@ func TestReshapeExactTileRowSkipped(t *testing.T) {
 	}
 }
 
+// TestReshapeViewsTileMultiples: a tensor whose element count is a
+// multiple of 64 (the 16×256 KV block) is reshaped as a view of its own
+// Data, with no copy, and compressing it leaves the tensor untouched;
+// a tensor that needs padding still gets a fresh, zero-padded copy.
+func TestReshapeViewsTileMultiples(t *testing.T) {
+	kv := weights.Gaussian(16, 256, 1.0, 13)
+	orig := kv.Clone()
+	view := reshapeForTiles(kv)
+	if view.Rows != 64 || view.Cols != 64 {
+		t.Fatalf("16x256 reshaped to %dx%d, want 64x64", view.Rows, view.Cols)
+	}
+	if &view.Data[0] != &kv.Data[0] || cap(view.Data) != len(kv.Data) {
+		t.Fatal("16x256 reshape copied its data instead of viewing it")
+	}
+	cm, err := core.Compress(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kv.Equal(orig) {
+		t.Fatal("Compress modified the tensor it was handed")
+	}
+	got, err := core.Decompress(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(view) {
+		t.Fatal("reshaped view does not round-trip")
+	}
+
+	odd := weights.Gaussian(3, 50, 1.0, 14) // 150 elements: pads to 64x3
+	padded := reshapeForTiles(odd)
+	if &padded.Data[0] == &odd.Data[0] || len(padded.Data) != 64*3 {
+		t.Fatalf("3x50 reshape should copy into a padded 64x3, got %dx%d", padded.Rows, padded.Cols)
+	}
+	for i, v := range padded.Data[150:] {
+		if v != 0 {
+			t.Fatalf("padding element %d is %#04x, want 0", i, v.Bits())
+		}
+	}
+}
+
 // TestRatioEmptyStoreIsNeutral documents the empty-store convention:
 // Ratio() is 1.0 ("no compression applied yet"), the value stats and
 // compare consumers can divide by or chart without special-casing
